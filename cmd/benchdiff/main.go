@@ -15,7 +15,8 @@
 // (sf=0.02) is the smallest at which the optimizer routes work to the
 // GPU, keeping the gate meaningful and CI-fast at once. -inflate
 // multiplies the fresh snapshot's modeled columns and exists to prove
-// the gate trips (`benchdiff -inflate 1.2` must fail a 5% threshold).
+// the gate trips (`benchdiff -inflate 1.2` must fail a 5% threshold);
+// an inflated snapshot is written only to an explicit -out.
 //
 // -wall-threshold graduates wall_ms_p50 from informational to gated:
 // the per-query wall-clock median may exceed the baseline's by at most
@@ -49,7 +50,7 @@ func main() {
 	devices := flag.Int("devices", 2, "number of simulated GPUs")
 	degree := flag.Int("degree", 24, "intra-query parallelism")
 	baseline := flag.String("baseline", "BENCH_0.json", "baseline snapshot to compare against")
-	out := flag.String("out", "", "where to write the fresh snapshot (default: next free BENCH_<n>.json)")
+	out := flag.String("out", "", "where to write the fresh snapshot (default: next free BENCH_<n>.json; none under -inflate)")
 	threshold := flag.Float64("threshold", 0.05, "allowed fractional growth of modeled time before the gate fails")
 	wallThreshold := flag.Float64("wall-threshold", 0, "allowed fractional growth of wall_ms_p50 (0 leaves it informational)")
 	wallFloorMs := flag.Float64("wall-floor-ms", 25, "baseline wall_ms_p50 below this floor never gates (noise)")
@@ -113,14 +114,19 @@ func main() {
 		fmt.Printf("benchdiff: modeled, transfer, and wall-p50 columns inflated by %.2fx (gate self-test)\n", *inflate)
 	}
 
+	// An inflated snapshot is a self-test artifact, not a measurement:
+	// it is written only where -out asks, never auto-numbered into the
+	// BENCH_<n>.json series.
 	path := *out
-	if path == "" {
+	if path == "" && *inflate == 1.0 {
 		path = nextSnapshotPath()
 	}
-	if err := cur.WriteFile(path); err != nil {
-		fail(2, err)
+	if path != "" {
+		if err := cur.WriteFile(path); err != nil {
+			fail(2, err)
+		}
+		fmt.Printf("benchdiff: snapshot written to %s\n", path)
 	}
-	fmt.Printf("benchdiff: snapshot written to %s\n", path)
 
 	if !baselineExists {
 		fmt.Printf("benchdiff: no baseline at %s; commit the snapshot above as the baseline\n", *baseline)

@@ -107,7 +107,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-		fmt.Printf("trace: %d queries, %d spans -> %s\n", tracer.Queries(), len(tracer.Spans()), *traceOut)
+		fmt.Printf("trace: %d queries, %d spans -> %s\n", tracer.Queries(), tracer.Len(), *traceOut)
 	}
 
 	if *explainOut != "" {
@@ -154,8 +154,8 @@ var explainSuite = []struct{ name, sql string }{
 }
 
 // writeExplainReports runs the explain suite through EXPLAIN ANALYZE
-// and writes the reports as one indented JSON array, the input format
-// cmd/explaincheck validates.
+// and writes the reports as one indented JSON array (validated by
+// TestTraceAndExplainExports).
 func writeExplainReports(h *bench.Harness, path string) error {
 	reports := make([]*explain.Report, 0, len(explainSuite))
 	for _, q := range explainSuite {

@@ -33,8 +33,7 @@
 //	         [-degree 24] [-warmup 1] [-faults 0] [-queue 64]
 //	         [-drain-ms 5000] [-slow-ms 250] [-qlog FILE]
 //	         [-qlog-max-bytes 0] [-qlog-keep 3] [-obs-step 5s]
-//	         [-obs-retention 15m] [-rules FILE] [-pprof]
-//	         [-loop] [-smoke] [-serve-smoke]
+//	         [-obs-retention 15m] [-rules FILE] [-pprof] [-loop]
 //
 // On start it generates the dataset, runs -warmup passes over the BD
 // Insights suite so the first scrape already has data, then serves.
@@ -47,12 +46,9 @@
 // firing severity-page alert flips /healthz to 503 and halves admission
 // capacity. -qlog-max-bytes caps the query log file with keep-N
 // rotation (FILE -> FILE.1 -> ... -> FILE.<keep>).
-// -smoke binds an ephemeral port, scrapes every admin endpoint against
-// its own server (including /healthz in both its 200 and 503 states),
-// validates the exposition syntax, and exits — `make metrics-smoke`.
-// -serve-smoke drives the full serving lifecycle over HTTP: a
-// multi-user mix through POST /query with shed retries, a drain, and a
-// counter reconciliation via /debug/serve — `make serve-smoke`.
+//
+// The whole stack is built by assemble; main_test.go drives that same
+// function end to end over httptest (`go test ./cmd/bluserve`).
 package main
 
 import (
@@ -61,21 +57,17 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"blugpu/internal/bench"
-	"blugpu/internal/explain"
 	"blugpu/internal/fault"
 	"blugpu/internal/metrics"
 	"blugpu/internal/obsd"
 	"blugpu/internal/prof"
 	"blugpu/internal/qlog"
-	"blugpu/internal/sched"
 	"blugpu/internal/serve"
 	"blugpu/internal/trace"
 	"blugpu/internal/workload"
@@ -100,8 +92,6 @@ func main() {
 	rulesPath := flag.String("rules", "", "alert rules file (default: built-in rules derived from SLO/breaker semantics)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the admin surface")
 	loop := flag.Bool("loop", false, "keep replaying the workload in the background while serving")
-	smoke := flag.Bool("smoke", false, "self-scrape every admin endpoint, validate, and exit (CI smoke test)")
-	serveSmoke := flag.Bool("serve-smoke", false, "drive the full serving lifecycle against this process and exit")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -109,164 +99,64 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := bench.Config{SF: *sf, Seed: *seed, Devices: *devices, Degree: *degree, Trace: trace.New()}
-	if *faults > 0 {
-		cfg.Faults = fault.New(fault.Config{
-			Seed: *seed, Reserve: *faults, H2D: *faults, D2H: *faults, Kernel: *faults,
-		})
+	c := config{
+		sf: *sf, seed: *seed, devices: *devices, degree: *degree,
+		warmup: *warmup, faults: *faults, queue: *queue,
+		drain:   time.Duration(*drainMs) * time.Millisecond,
+		slow:    time.Duration(*slowMs) * time.Millisecond,
+		obsStep: *obsStep, obsRetention: *obsRetention, pprof: *pprofFlag,
 	}
-	fmt.Printf("bluserve: generating dataset (sf=%g, seed=%d)...\n", *sf, *seed)
-	h, err := bench.NewHarness(cfg)
-	if err != nil {
-		fail(err)
-	}
-
-	suite := workload.BDInsights()
-	runSuite := func() error {
-		_, err := h.RunSet(suite)
-		return err
-	}
-	for i := 0; i < *warmup; i++ {
-		if err := runSuite(); err != nil {
-			fail(err)
-		}
-	}
-	fmt.Printf("bluserve: warmup done (%d passes over %d queries)\n", *warmup, len(suite))
-
-	// Always-on resource attribution: every admitted query's phases are
-	// billed per class into the accountant, and the captor keeps a
-	// bounded ring of periodic CPU-profile windows for the
-	// /debug/prof/* surfaces.
-	acct := prof.NewAccountant()
-	captor := prof.NewCaptor(acct, prof.Options{})
-	captor.Start()
-	defer captor.Stop()
-
-	// The obsd store is built below (its Sources closure needs the
-	// server); serve and healthz key off it through late-bound hooks.
-	var obs *obsd.Store
-
-	serveCfg := serve.Config{
-		QueueCapacity: *queue,
-		DrainDeadline: time.Duration(*drainMs) * time.Millisecond,
-		SlowQuery:     time.Duration(*slowMs) * time.Millisecond,
-		Prof:          acct,
-		PagesFiring: func() int {
-			if obs == nil {
-				return 0
-			}
-			return obs.PagesFiring()
-		},
-	}
-	if *qlogPath != "" {
-		switch *qlogPath {
-		case "stderr", "-":
-			serveCfg.Log = qlog.New(os.Stderr)
-		default:
-			// With a byte cap the destination is a rotating file
-			// (FILE -> FILE.1 -> ...); without one, a plain append.
-			var w io.WriteCloser
-			if *qlogMaxBytes > 0 {
-				w, err = qlog.OpenFile(*qlogPath, qlog.Config{MaxBytes: *qlogMaxBytes, Keep: *qlogKeep})
-			} else {
-				w, err = os.OpenFile(*qlogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			}
-			if err != nil {
-				fail(err)
-			}
-			defer w.Close()
-			serveCfg.Log = qlog.New(w)
-		}
-	}
-	server, err := serve.New(h.Eng, serveCfg)
-	if err != nil {
-		fail(err)
-	}
-
-	// The admin surface rides the serve mux; every scrape carries the
-	// admission counters, a live Go runtime sample, and the obsd/alert
-	// self-accounting alongside the engine metrics.
-	engineSources := metrics.SourcesFromEngine(h.Eng)
-	sources := func() metrics.Sources {
-		src := engineSources()
-		src.Admission = server.AdmissionSnapshot
-		src.Runtime = metrics.SampleRuntime
-		src.Prof = acct
-		src.Captor = captor
-		if obs != nil {
-			src.Obs = obs.ObsSnapshot
-		}
-		return src
-	}
-
-	// Embedded observability: self-scrape the registry into ring history
-	// and evaluate alert rules on every scrape. Alert transitions land in
-	// the qlog, blu_alerts_*, /debug/alerts and the dash; a firing page
-	// flips /healthz and halves admission (the hooks wired above).
-	obs = obsd.New(obsd.Options{
-		Step:      *obsStep,
-		Retention: *obsRetention,
-		Sources:   sources,
-		Log:       serveCfg.Log,
-		Prof:      acct,
-	})
-	rules := obsd.DefaultRules(*obsStep)
 	if *rulesPath != "" {
 		data, err := os.ReadFile(*rulesPath)
 		if err != nil {
 			fail(err)
 		}
-		if rules, err = obsd.ParseRules(data); err != nil {
+		if c.rules, err = obsd.ParseRules(data); err != nil {
 			fail(err)
 		}
 	}
-	if err := obs.SetRules(rules); err != nil {
-		fail(err)
+	switch *qlogPath {
+	case "":
+	case "stderr", "-":
+		c.log = os.Stderr
+	default:
+		// With a byte cap the destination is a rotating file
+		// (FILE -> FILE.1 -> ...); without one, a plain append.
+		var w io.WriteCloser
+		var err error
+		if *qlogMaxBytes > 0 {
+			w, err = qlog.OpenFile(*qlogPath, qlog.Config{MaxBytes: *qlogMaxBytes, Keep: *qlogKeep})
+		} else {
+			w, err = os.OpenFile(*qlogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		}
+		if err != nil {
+			fail(err)
+		}
+		defer w.Close()
+		c.log = w
 	}
-	obs.Scrape() // synchronous first sample so the surfaces answer immediately
-	obs.Start()
-	defer obs.Stop()
 
-	admin := metrics.AdminMux(sources)
-	obs.Mount(admin)
-	if *pprofFlag {
-		metrics.MountPprof(admin)
-	}
-	handler := serve.NewMux(server, admin)
-
-	bind := *addr
-	if *smoke || *serveSmoke {
-		bind = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", bind)
+	fmt.Printf("bluserve: generating dataset (sf=%g, seed=%d) and warming up (%d passes)...\n", *sf, *seed, *warmup)
+	st, err := assemble(c)
 	if err != nil {
 		fail(err)
 	}
-	srv := &http.Server{Handler: handler}
+	defer st.close()
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fail(err)
+	}
+	srv := &http.Server{Handler: st.handler}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("bluserve: serving %s/query %s/metrics %s/healthz\n", base, base, base)
 
-	if *smoke {
-		if err := smokeTest(base, h); err != nil {
-			fail(err)
-		}
-		fmt.Println("bluserve: metrics smoke ok")
-		return
-	}
-	if *serveSmoke {
-		if err := serveSmokeTest(base, server); err != nil {
-			fail(err)
-		}
-		fmt.Println("bluserve: serve smoke ok")
-		return
-	}
-
 	if *loop {
 		go func() {
 			for {
-				if err := runSuite(); err != nil {
+				if _, err := st.h.RunSet(workload.BDInsights()); err != nil {
 					fmt.Fprintln(os.Stderr, "bluserve: workload loop:", err)
 					return
 				}
@@ -279,203 +169,152 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("\nbluserve: draining")
-	rep := server.Drain(time.Duration(*drainMs) * time.Millisecond)
+	rep := st.server.Drain(c.drain)
 	fmt.Printf("bluserve: drained (flushed=%d forced=%d waited=%s)\n",
 		rep.Flushed, rep.ForcedCancels, rep.Waited.Round(time.Millisecond))
 }
 
-// smokeTest scrapes every admin endpoint on the freshly started server
-// and validates what comes back: /metrics must parse as exposition
-// format and cover the acceptance families, /healthz must answer 200
-// while healthy AND 503 once every breaker is tripped (recovering to
-// 200 afterwards), /debug/queries must show the warmed-up queries.
-func smokeTest(base string, h *bench.Harness) error {
-	// One query through the serving path first: the blu_prof_* wall
-	// ledger only carries series for classes that actually ran, and the
-	// warmup passes go straight to the engine, not through admission.
-	qbody := strings.NewReader(`{"sql":"SELECT ss_store_sk, SUM(ss_net_paid) AS total FROM store_sales GROUP BY ss_store_sk","session":"smoke"}`)
-	resp, err := http.Post(base+"/query", "application/json", qbody)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/query: HTTP %d", resp.StatusCode)
-	}
+// config is everything bluserve's flags decide. log and clock are the
+// test seams: the query-log destination (nil disables the log) and the
+// clock shared by the query log and the obsd store (nil is the wall
+// clock).
+type config struct {
+	sf           float64
+	seed         uint64
+	devices      int
+	degree       int
+	warmup       int
+	faults       float64
+	queue        int
+	drain        time.Duration
+	slow         time.Duration
+	obsStep      time.Duration
+	obsRetention time.Duration
+	rules        []obsd.Rule // nil: obsd.DefaultRules(obsStep)
+	pprof        bool
 
-	body, code, err := get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("/metrics: HTTP %d", code)
-	}
-	if err := metrics.ValidateExposition(body); err != nil {
-		return fmt.Errorf("/metrics: invalid exposition: %w", err)
-	}
-	for _, family := range []string{
-		"blu_kernel_executions_total",
-		"blu_transfer_bytes_total",
-		"blu_sched_placements_total",
-		"blu_device_memory_total_bytes",
-		"blu_query_latency_seconds_bucket",
-		"blu_optimizer_decisions_total",
-		"blu_kmv_relative_error_count",
-		"blu_serve_queue_depth",
-		"blu_serve_submitted_total",
-		"blu_go_goroutines",
-		"blu_go_gc_cycles_total",
-		"blu_prof_wall_seconds_total",
-		"blu_prof_captures_total",
-		"blu_device_busy_ratio",
-		"blu_device_reserved_bytes",
-		"blu_obsd_scrapes_total",
-		"blu_alerts_rules",
-	} {
-		if !contains(body, family) {
-			return fmt.Errorf("/metrics: family %s missing from scrape", family)
-		}
-	}
-	fmt.Printf("bluserve: /metrics ok (%d bytes, valid exposition)\n", len(body))
-
-	// The profile surfaces: the hotspot digest always answers over the
-	// ring; an on-demand capture may race the periodic captor for the
-	// process profiler, in which case it reports the conflict (409).
-	body, code, err = get(base + "/debug/prof/hotspots")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK || !contains(body, "prof hotspots:") {
-		return fmt.Errorf("/debug/prof/hotspots: HTTP %d: %.120s", code, body)
-	}
-	body, code, err = get(base + "/debug/prof/capture?window=50ms")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK && code != http.StatusConflict {
-		return fmt.Errorf("/debug/prof/capture: HTTP %d: %.120s", code, body)
-	}
-	fmt.Printf("bluserve: /debug/prof ok (capture HTTP %d)\n", code)
-
-	body, code, err = get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("/healthz: HTTP %d: %s", code, body)
-	}
-	if !contains(body, `"status"`) {
-		return fmt.Errorf("/healthz: no status in %s", body)
-	}
-	fmt.Printf("bluserve: /healthz ok: %s", body)
-
-	// Trip every breaker: all devices quarantined must turn /healthz
-	// into a 503 (the same signal the admission shedder keys off).
-	sch := h.Eng.Scheduler()
-	for _, dev := range sch.Devices() {
-		for i := 0; i < sched.DefaultFailThreshold; i++ {
-			sch.ReportFailure(dev)
-		}
-	}
-	body, code, err = get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusServiceUnavailable {
-		return fmt.Errorf("/healthz with all breakers open: HTTP %d %s, want 503", code, body)
-	}
-	if !contains(body, metrics.HealthUnhealthy) {
-		return fmt.Errorf("/healthz with all breakers open: no unhealthy status in %s", body)
-	}
-	fmt.Printf("bluserve: /healthz unhealthy ok: %s", body)
-
-	// Recover: advance the virtual clock past probation and report a
-	// successful probe per device — the breakers close again.
-	sch.Advance(10 * 60) // ten virtual minutes, far beyond any probation
-	for _, dev := range sch.Devices() {
-		sch.ReportSuccess(dev)
-	}
-	body, code, err = get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("/healthz after recovery: HTTP %d %s, want 200", code, body)
-	}
-	fmt.Printf("bluserve: /healthz recovered: %s", body)
-
-	body, code, err = get(base + "/debug/queries")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK || !contains(body, "queries:") {
-		return fmt.Errorf("/debug/queries: HTTP %d: %.120s", code, body)
-	}
-	fmt.Printf("bluserve: /debug/queries ok (%d bytes)\n", len(body))
-
-	// The embedded observability surfaces: alert states as JSON, the
-	// self-contained dashboard, and a Prometheus-compatible range query
-	// over the scraped history.
-	body, code, err = get(base + "/debug/alerts")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK || !contains(body, `"rules"`) {
-		return fmt.Errorf("/debug/alerts: HTTP %d: %.120s", code, body)
-	}
-	fmt.Printf("bluserve: /debug/alerts ok (%d bytes)\n", len(body))
-	body, code, err = get(base + "/debug/dash")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK || !contains(body, "<svg") {
-		return fmt.Errorf("/debug/dash: HTTP %d: %.120s", code, body)
-	}
-	fmt.Printf("bluserve: /debug/dash ok (%d bytes)\n", len(body))
-	now := time.Now().Unix()
-	body, code, err = get(fmt.Sprintf("%s/api/v1/query_range?query=blu_serve_queue_depth&start=%d&end=%d&step=5", base, now-600, now))
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK || !contains(body, `"status":"success"`) {
-		return fmt.Errorf("/api/v1/query_range: HTTP %d: %.200s", code, body)
-	}
-	fmt.Printf("bluserve: /api/v1/query_range ok (%d bytes)\n", len(body))
-
-	sql := "SELECT ss_store_sk, SUM(ss_net_paid) AS total FROM store_sales GROUP BY ss_store_sk"
-	body, code, err = get(base + "/debug/explain?q=" + url.QueryEscape(sql))
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("/debug/explain: HTTP %d: %.200s", code, body)
-	}
-	if err := explain.ValidateReport(body); err != nil {
-		return fmt.Errorf("/debug/explain: %w", err)
-	}
-	rep, err := explain.Decode(body)
-	if err != nil {
-		return fmt.Errorf("/debug/explain: %w", err)
-	}
-	if !rep.Reconciled() {
-		return fmt.Errorf("/debug/explain: report not reconciled: unattributed=%d orphans=%d mismatches=%v",
-			rep.Unattributed, rep.Orphans, rep.Totals.Mismatches)
-	}
-	fmt.Printf("bluserve: /debug/explain ok (%d bytes, %d operators, reconciled)\n", len(body), len(rep.Ops))
-	return nil
+	log   io.Writer
+	clock func() time.Time
 }
 
-func get(url string) ([]byte, int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return body, resp.StatusCode, err
+// stack is the assembled serving process: the engine harness, the
+// admission-controlled server and the observability layers feeding
+// one HTTP handler.
+type stack struct {
+	h       *bench.Harness
+	server  *serve.Server
+	acct    *prof.Accountant
+	captor  *prof.Captor
+	obs     *obsd.Store
+	handler http.Handler
 }
 
-func contains(body []byte, s string) bool {
-	return strings.Contains(string(body), s)
+// assemble builds bluserve's serving stack: harness (dataset + warmup)
+// → prof accountant and captor → serve.Server → metrics sources → obsd
+// store and alert rules → admin mux → handler. The captor's periodic
+// windows start here; the obsd store takes one synchronous scrape and
+// then self-scrapes on a wall ticker, unless c.clock is injected, in
+// which case the caller drives Scrape so every sample lands at a time
+// it controls.
+func assemble(c config) (*stack, error) {
+	cfg := bench.Config{SF: c.sf, Seed: c.seed, Devices: c.devices, Degree: c.degree, Trace: trace.New()}
+	if c.faults > 0 {
+		cfg.Faults = fault.New(fault.Config{
+			Seed: c.seed, Reserve: c.faults, H2D: c.faults, D2H: c.faults, Kernel: c.faults,
+		})
+	}
+	h, err := bench.NewHarness(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < c.warmup; i++ {
+		if _, err := h.RunSet(workload.BDInsights()); err != nil {
+			return nil, err
+		}
+	}
+
+	st := &stack{h: h, acct: prof.NewAccountant()}
+	var qlogger *qlog.Logger
+	if c.log != nil {
+		qlogger = qlog.New(c.log, qlog.WithClock(c.clock))
+	}
+	// serve and /healthz key off the obsd store through late-bound
+	// hooks: the store's Sources closure needs the server first.
+	st.server, err = serve.New(h.Eng, serve.Config{
+		QueueCapacity: c.queue,
+		DrainDeadline: c.drain,
+		SlowQuery:     c.slow,
+		Log:           qlogger,
+		Prof:          st.acct,
+		PagesFiring: func() int {
+			if st.obs == nil {
+				return 0
+			}
+			return st.obs.PagesFiring()
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Always-on resource attribution: every admitted query's phases are
+	// billed per class into the accountant, and the captor keeps a
+	// bounded ring of periodic CPU-profile windows for /debug/prof/*.
+	st.captor = prof.NewCaptor(st.acct, prof.Options{})
+
+	// Every scrape carries the admission counters, a live Go runtime
+	// sample and the obsd/alert self-accounting alongside the engine.
+	engineSources := metrics.SourcesFromEngine(h.Eng)
+	sources := func() metrics.Sources {
+		src := engineSources()
+		src.Admission = st.server.AdmissionSnapshot
+		src.Runtime = metrics.SampleRuntime
+		src.Prof = st.acct
+		src.Captor = st.captor
+		if st.obs != nil {
+			src.Obs = st.obs.ObsSnapshot
+		}
+		return src
+	}
+
+	// Embedded observability: self-scrape the registry into ring history
+	// and evaluate alert rules on every scrape. Transitions land in the
+	// qlog, blu_alerts_*, /debug/alerts and the dash; a firing page flips
+	// /healthz and halves admission (the hooks wired above).
+	obs := obsd.New(obsd.Options{
+		Step:      c.obsStep,
+		Retention: c.obsRetention,
+		Clock:     c.clock,
+		Sources:   sources,
+		Log:       qlogger,
+		Prof:      st.acct,
+	})
+	rules := c.rules
+	if rules == nil {
+		rules = obsd.DefaultRules(c.obsStep)
+	}
+	if err := obs.SetRules(rules); err != nil {
+		return nil, err
+	}
+	st.obs = obs
+
+	admin := metrics.AdminMux(sources)
+	obs.Mount(admin)
+	if c.pprof {
+		metrics.MountPprof(admin)
+	}
+	st.handler = serve.NewMux(st.server, admin)
+
+	st.captor.Start()
+	obs.Scrape() // synchronous first sample so the surfaces answer immediately
+	if c.clock == nil {
+		obs.Start()
+	}
+	return st, nil
+}
+
+// close stops the background scraper and profile captor.
+func (s *stack) close() {
+	s.obs.Stop()
+	s.captor.Stop()
 }

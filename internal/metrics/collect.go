@@ -300,6 +300,6 @@ func collectDevices(r *Registry, devices []*gpu.Device, now vtime.Time) {
 
 func collectTracer(r *Registry, t *trace.Tracer) {
 	r.Counter("blu_trace_queries_total", "Query root spans started by the attached tracer.").With().AddUint(t.Queries())
-	r.Gauge("blu_trace_spans", "Spans currently held by the attached tracer.").With().Set(float64(len(t.Spans())))
+	r.Gauge("blu_trace_spans", "Spans currently held by the attached tracer.").With().Set(float64(t.Len()))
 	r.Counter("blu_trace_orphans_total", "Device events that arrived without a live parent span.").With().AddUint(t.Orphans())
 }

@@ -225,7 +225,7 @@ func writeDebugQueries(w http.ResponseWriter, src Sources) {
 	}
 	if src.Tracer != nil {
 		fmt.Fprintf(w, "\nflame summary (%d traced queries, %d spans):\n",
-			src.Tracer.Queries(), len(src.Tracer.Spans()))
+			src.Tracer.Queries(), src.Tracer.Len())
 		src.Tracer.WriteFlame(w)
 	}
 	if src.Admission != nil {

@@ -86,6 +86,7 @@ type Tracer struct {
 	mu      sync.Mutex
 	spans   []*span
 	byID    map[SpanID]*span
+	byQuery map[uint64][]*span // per-query spans in creation order
 	lastID  SpanID
 	queries uint64
 	// orphans counts device events (kernel/transfer/fault) that arrived
@@ -95,7 +96,7 @@ type Tracer struct {
 
 // New returns an empty tracer.
 func New() *Tracer {
-	return &Tracer{byID: make(map[SpanID]*span)}
+	return &Tracer{byID: make(map[SpanID]*span), byQuery: make(map[uint64][]*span)}
 }
 
 // Context addresses one span of one tracer. The zero value is a valid
@@ -126,6 +127,7 @@ func (t *Tracer) newSpanLocked(parent SpanID, query uint64, depth int, cat, name
 	}, cursor: at}
 	t.spans = append(t.spans, s)
 	t.byID[s.ID] = s
+	t.byQuery[query] = append(t.byQuery[query], s)
 	return s
 }
 
@@ -275,17 +277,23 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
+// Len returns the number of spans held, without copying them.
+func (t *Tracer) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.spans)
+}
+
 // QuerySpans returns a snapshot of every span belonging to query
 // sequence number q, in creation order. It is the span-side input to
 // the EXPLAIN ANALYZE reconciliation: one query's complete subtree.
+// A per-query index keeps the cost proportional to that subtree, not
+// to the tracer's whole history.
 func (t *Tracer) QuerySpans(q uint64) []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Span
-	for _, s := range t.spans {
-		if s.Query != q {
-			continue
-		}
+	for _, s := range t.byQuery[q] {
 		sp := s.Span
 		sp.Attrs = append([]Attr(nil), s.Attrs...)
 		out = append(out, sp)
@@ -331,6 +339,7 @@ func (t *Tracer) Reset() {
 	defer t.mu.Unlock()
 	t.spans = nil
 	t.byID = make(map[SpanID]*span)
+	t.byQuery = make(map[uint64][]*span)
 	t.lastID = 0
 	t.queries = 0
 	t.orphans = 0

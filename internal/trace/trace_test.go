@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -333,5 +334,62 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if err := ValidateChrome(buf.Bytes()); err != nil {
 		t.Errorf("post-stress export invalid: %v", err)
+	}
+}
+
+// TestQuerySpansIndex checks the per-query span index against the full
+// history: queries interleave across goroutines, so each query's spans
+// are scattered through the creation order, yet QuerySpans(q) must
+// equal Spans() filtered by q, in the same order. Len must count
+// without copying, and Reset must clear the index.
+func TestQuerySpansIndex(t *testing.T) {
+	tr := New()
+	const workers, perWorker = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				at := vtime.Time(float64(w) + float64(i)/perWorker)
+				q := tr.StartQuery("", at)
+				op := q.Begin("op", "scan", at)
+				tr.RecordDeviceEvent(op.ID(), w%2, "h2d", "h2d", 64, vtime.Microsecond)
+				op.Emit("eval", "pred", at, vtime.Microsecond)
+				op.End(at.Add(vtime.Millisecond), Int("rows", int64(i)))
+				q.End(at.Add(2 * vtime.Millisecond))
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	all := tr.Spans()
+	if tr.Len() != len(all) {
+		t.Fatalf("Len = %d, len(Spans()) = %d", tr.Len(), len(all))
+	}
+	for q := uint64(1); q <= tr.Queries(); q++ {
+		var want []Span
+		for _, s := range all {
+			if s.Query == q {
+				want = append(want, s)
+			}
+		}
+		if got := tr.QuerySpans(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("QuerySpans(%d) = %d spans, filtered history has %d (or order/content differs)",
+				q, len(got), len(want))
+		}
+	}
+	if got := tr.QuerySpans(tr.Queries() + 1); len(got) != 0 {
+		t.Fatalf("unknown query returned %d spans", len(got))
+	}
+
+	tr.Reset()
+	if tr.Len() != 0 || len(tr.QuerySpans(1)) != 0 {
+		t.Fatalf("Reset left %d spans, %d indexed under query 1", tr.Len(), len(tr.QuerySpans(1)))
+	}
+	q := tr.StartQuery("fresh", 0)
+	q.End(1)
+	if got := tr.QuerySpans(1); len(got) != 1 || got[0].Name != "fresh" {
+		t.Fatalf("post-reset QuerySpans(1) = %+v, want only the fresh root", got)
 	}
 }
