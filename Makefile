@@ -31,9 +31,11 @@ test:
 race:
 	$(GO) test -race $(PARALLEL_PKGS)
 
+# Per-layer micro-benchmarks: columnar gather, bsort partial-key build,
+# and expr's predicate scan (row-at-a-time reference vs bound) and derive.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild' -benchmem -run '^$$' \
-		./internal/columnar ./internal/bsort
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|EvalPredicate|Derive' -benchmem -run '^$$' \
+		./internal/columnar ./internal/bsort ./internal/expr
 
 # Perf-regression gate: run the benchdiff suite and compare the modeled
 # (deterministic) timings against the committed BENCH_0.json baseline.

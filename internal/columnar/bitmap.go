@@ -29,6 +29,11 @@ func NewBitmapFull(n int) *Bitmap {
 	return b
 }
 
+// Words exposes the backing words, 64 rows per word with row i at bit
+// i%64 of word i/64, for word-at-a-time kernels. Bits past Len must
+// stay clear.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }
 

@@ -54,6 +54,9 @@ func (c *Int64Column) Int64(i int) int64 { return c.data[i] }
 // Data exposes the backing vector for kernel-speed scans.
 func (c *Int64Column) Data() []int64 { return c.data }
 
+// Nulls exposes the null bitmap; nil when no row is NULL.
+func (c *Int64Column) Nulls() *Bitmap { return c.nulls }
+
 // --- Float64 ---
 
 // Float64Column is a flat vector of float64 with an optional null bitmap.
@@ -87,6 +90,9 @@ func (c *Float64Column) Float64(i int) float64 { return c.data[i] }
 // Data exposes the backing vector.
 func (c *Float64Column) Data() []float64 { return c.data }
 
+// Nulls exposes the null bitmap; nil when no row is NULL.
+func (c *Float64Column) Nulls() *Bitmap { return c.nulls }
+
 // --- String (dictionary-encoded) ---
 
 // StringColumn stores strings as 32-bit codes into a sorted dictionary —
@@ -97,6 +103,12 @@ type StringColumn struct {
 	dict  []string // sorted, unique
 	codes []int32
 	nulls *Bitmap
+}
+
+// NewStringColumn builds a column from a sorted, duplicate-free
+// dictionary and codes into it; nulls may be nil.
+func NewStringColumn(name string, dict []string, codes []int32, nulls *Bitmap) *StringColumn {
+	return &StringColumn{name: name, dict: dict, codes: codes, nulls: nulls}
 }
 
 func (c *StringColumn) Name() string { return c.name }
@@ -117,6 +129,12 @@ func (c *StringColumn) Code(i int) int32 { return c.codes[i] }
 
 // Codes exposes the backing code vector.
 func (c *StringColumn) Codes() []int32 { return c.codes }
+
+// Nulls exposes the null bitmap; nil when no row is NULL.
+func (c *StringColumn) Nulls() *Bitmap { return c.nulls }
+
+// Dict exposes the sorted dictionary; callers must not modify it.
+func (c *StringColumn) Dict() []string { return c.dict }
 
 // DictSize returns the number of distinct values in the dictionary.
 func (c *StringColumn) DictSize() int { return len(c.dict) }

@@ -6,13 +6,13 @@ import (
 
 	"blugpu/internal/columnar"
 	"blugpu/internal/expr"
-	"blugpu/internal/parallel"
 	"blugpu/internal/plan"
 	"blugpu/internal/trace"
 )
 
-// exprGrain is the minimum rows per worker for parallel expression
-// evaluation; interpreted Eval calls are heavy enough for small chunks.
+// exprGrain is the minimum rows per worker for the engine's per-row
+// loops (sort-key encoding, group-key decoding); each row's work is heavy
+// enough for small chunks.
 const exprGrain = 512
 
 // exec dispatches one plan node. The query context q rides along so every
@@ -258,11 +258,11 @@ func (e *Engine) execDerive(n *plan.Derive, q qctx) (*frame, error) {
 	hostStart := time.Now()
 	cols := append([]columnar.Column{}, f.tbl.Columns()...)
 	for _, dc := range n.Cols {
-		col, err := evalToColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
+		b, err := expr.Bind(f.tbl, dc.Expr)
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, col)
+		cols = append(cols, b.Column(dc.Name, e.cfg.Degree))
 	}
 	q.wallHost(hostStart)
 	out, err := columnar.NewTable(f.tbl.Name()+"_d", cols...)
@@ -303,11 +303,11 @@ func (e *Engine) execProject(n *plan.Project, q qctx) (*frame, error) {
 			cols[i] = renameColumn(src, dc.Name, e.cfg.Degree)
 			continue
 		}
-		col, err := evalToColumn(f.tbl, dc.Name, dc.Expr, e.cfg.Degree)
+		b, err := expr.Bind(f.tbl, dc.Expr)
 		if err != nil {
 			return nil, err
 		}
-		cols[i] = col
+		cols[i] = b.Column(dc.Name, e.cfg.Degree)
 		exprWork += f.tbl.Rows()
 	}
 	out, err := columnar.NewTable(f.tbl.Name()+"_p", cols...)
@@ -342,65 +342,6 @@ func (e *Engine) execLimit(n *plan.Limit, q qctx) (*frame, error) {
 	// record keeps the audit's operator list 1:1 with Result.Ops.
 	q.record(st, 0, f.at(), f.at(), nil, nil)
 	return f, nil
-}
-
-// evalToColumn computes an expression for every row into a typed column.
-// Rows evaluate in parallel into a value vector (expression evaluation is
-// row-independent); the builder pass stays sequential, so the column —
-// including its lazily allocated null bitmap — is identical at any degree.
-func evalToColumn(tbl *columnar.Table, name string, ex expr.Expr, degree int) (columnar.Column, error) {
-	t, err := ex.TypeOf(tbl)
-	if err != nil {
-		return nil, err
-	}
-	n := tbl.Rows()
-	vals := make([]columnar.Value, n)
-	err = parallel.ForErr(n, exprGrain, degree, func(lo, hi, _ int) error {
-		for i := lo; i < hi; i++ {
-			v, err := ex.Eval(tbl, i)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	switch t {
-	case columnar.Int64:
-		b := columnar.NewInt64Builder(name)
-		for _, v := range vals {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.I)
-			}
-		}
-		return b.Build(), nil
-	case columnar.Float64:
-		b := columnar.NewFloat64Builder(name)
-		for _, v := range vals {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.F)
-			}
-		}
-		return b.Build(), nil
-	case columnar.String:
-		b := columnar.NewStringBuilder(name)
-		for _, v := range vals {
-			if v.Null {
-				b.AppendNull()
-			} else {
-				b.Append(v.S)
-			}
-		}
-		return b.Build(), nil
-	}
-	return nil, fmt.Errorf("engine: unsupported expression type %v", t)
 }
 
 // renameColumn returns src under a new name without copying the values.

@@ -2,9 +2,13 @@
 // over columnar tables — the engine's expression service and the input
 // language of its predicate evaluators.
 //
-// Evaluation is row-at-a-time for clarity; the engine charges predicate
-// work to the cost model by row count, so functional evaluation speed does
-// not affect modeled results.
+// Bind compiles an expression once per table into closures over the
+// table's typed vectors, evaluated 64 rows (one bitmap word) at a time;
+// the engine's filters, derives and computed projections run that way.
+// Expr.Eval and EvalPredicate evaluate row at a time and stay as the
+// reference the bound evaluator is tested against. The engine charges
+// expression work to the cost model by row count, so evaluation speed
+// does not affect modeled results.
 package expr
 
 import (
@@ -12,7 +16,6 @@ import (
 	"strings"
 
 	"blugpu/internal/columnar"
-	"blugpu/internal/parallel"
 )
 
 // Expr is a scalar expression over one table's row.
@@ -202,16 +205,25 @@ func (c *Cmp) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
 	if err != nil {
 		return columnar.Value{}, err
 	}
-	if l.Null || r.Null {
-		return columnar.NullValue(columnar.Int64), nil
-	}
-	l, r, err = coerce(l, r)
+	v, err := compare(c.Op, l, r)
 	if err != nil {
 		return columnar.Value{}, fmt.Errorf("expr: %s: %w", c, err)
 	}
+	return v, nil
+}
+
+// compare applies op to two values under three-valued logic.
+func compare(op CmpOp, l, r columnar.Value) (columnar.Value, error) {
+	if l.Null || r.Null {
+		return columnar.NullValue(columnar.Int64), nil
+	}
+	l, r, err := coerce(l, r)
+	if err != nil {
+		return columnar.Value{}, err
+	}
 	cv := l.Compare(r)
 	var ok bool
-	switch c.Op {
+	switch op {
 	case Eq:
 		ok = cv == 0
 	case Ne:
@@ -228,15 +240,30 @@ func (c *Cmp) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
 	return boolValue(ok), nil
 }
 
-// TypeOf implements Expr.
+// TypeOf implements Expr. A string compares only with a string, whatever
+// the rows hold, so the error does not depend on the data.
 func (c *Cmp) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	if _, err := c.Left.TypeOf(tbl); err != nil {
+	lt, err := c.Left.TypeOf(tbl)
+	if err != nil {
 		return 0, err
 	}
-	if _, err := c.Right.TypeOf(tbl); err != nil {
+	rt, err := c.Right.TypeOf(tbl)
+	if err != nil {
 		return 0, err
+	}
+	if err := checkComparable(lt, rt); err != nil {
+		return 0, fmt.Errorf("expr: %s: %w", c, err)
 	}
 	return columnar.Int64, nil
+}
+
+// checkComparable rejects a string compared with a number, the one pair
+// coerce cannot reconcile.
+func checkComparable(l, r columnar.Type) error {
+	if (l == columnar.String) != (r == columnar.String) {
+		return fmt.Errorf("cannot compare %v with %v", l, r)
+	}
+	return nil
 }
 
 func (c *Cmp) String() string {
@@ -275,14 +302,7 @@ func (lg *Logic) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
 	lt, rt := truth(l), truth(r)
 	switch lg.Op {
 	case And:
-		switch {
-		case lt == tFalse || rt == tFalse:
-			return boolValue(false), nil
-		case lt == tTrue && rt == tTrue:
-			return boolValue(true), nil
-		default:
-			return columnar.NullValue(columnar.Int64), nil
-		}
+		return and(lt, rt), nil
 	case Or:
 		switch {
 		case lt == tTrue || rt == tTrue:
@@ -294,6 +314,18 @@ func (lg *Logic) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
 		}
 	}
 	return columnar.Value{}, fmt.Errorf("expr: unknown logic op %d", lg.Op)
+}
+
+// and is SQL's three-valued AND.
+func and(l, r tri) columnar.Value {
+	switch {
+	case l == tFalse || r == tFalse:
+		return boolValue(false)
+	case l == tTrue && r == tTrue:
+		return boolValue(true)
+	default:
+		return columnar.NullValue(columnar.Int64)
+	}
 }
 
 // TypeOf implements Expr.
@@ -345,18 +377,44 @@ func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Inner) }
 // Between is `x BETWEEN lo AND hi` (inclusive).
 type Between struct{ X, Lo, Hi Expr }
 
-// Eval implements Expr.
+// Eval implements Expr: x >= lo AND x <= hi, without building the nodes.
 func (b *Between) Eval(tbl *columnar.Table, i int) (columnar.Value, error) {
-	ge := &Cmp{Op: Ge, Left: b.X, Right: b.Lo}
-	le := &Cmp{Op: Le, Left: b.X, Right: b.Hi}
-	return (&Logic{Op: And, Left: ge, Right: le}).Eval(tbl, i)
+	x, err := b.X.Eval(tbl, i)
+	if err != nil {
+		return columnar.Value{}, err
+	}
+	lo, err := b.Lo.Eval(tbl, i)
+	if err != nil {
+		return columnar.Value{}, err
+	}
+	hi, err := b.Hi.Eval(tbl, i)
+	if err != nil {
+		return columnar.Value{}, err
+	}
+	ge, err := compare(Ge, x, lo)
+	if err != nil {
+		return columnar.Value{}, fmt.Errorf("expr: %s: %w", b, err)
+	}
+	le, err := compare(Le, x, hi)
+	if err != nil {
+		return columnar.Value{}, fmt.Errorf("expr: %s: %w", b, err)
+	}
+	return and(truth(ge), truth(le)), nil
 }
 
-// TypeOf implements Expr.
+// TypeOf implements Expr; x must compare with both bounds.
 func (b *Between) TypeOf(tbl *columnar.Table) (columnar.Type, error) {
-	for _, e := range []Expr{b.X, b.Lo, b.Hi} {
-		if _, err := e.TypeOf(tbl); err != nil {
+	var ts [3]columnar.Type
+	for i, e := range [3]Expr{b.X, b.Lo, b.Hi} {
+		t, err := e.TypeOf(tbl)
+		if err != nil {
 			return 0, err
+		}
+		ts[i] = t
+	}
+	for _, bound := range ts[1:] {
+		if err := checkComparable(ts[0], bound); err != nil {
+			return 0, fmt.Errorf("expr: %s: %w", b, err)
 		}
 	}
 	return columnar.Int64, nil
@@ -526,36 +584,21 @@ func EvalPredicate(tbl *columnar.Table, pred Expr) (*columnar.Bitmap, error) {
 	return bm, nil
 }
 
-// predicateGrain is the minimum rows per worker for parallel predicate
-// scans; row-at-a-time Eval is slow enough that small chunks still pay.
-const predicateGrain = 512
+// predicateGrain is the minimum rows per worker for bound evaluation.
+// A bound predicate costs a few ns per row, so a worker is worth its
+// goroutine handoff only over several thousand rows.
+const predicateGrain = 8192
 
-// EvalPredicateDegree is the parallel predicate scan: disjoint 64-aligned
-// row ranges are evaluated by the worker pool, each worker setting bits
-// only in its own words of the shared bitmap. Expressions are read-only
-// over the table, so the result is identical to EvalPredicate at any
-// degree.
+// EvalPredicateDegree is the parallel predicate scan: pred is bound to
+// tbl once, then disjoint 64-aligned row ranges are evaluated by the
+// worker pool, each worker setting only its own words of the bitmap. The
+// result is identical to EvalPredicate at any degree.
 func EvalPredicateDegree(tbl *columnar.Table, pred Expr, degree int) (*columnar.Bitmap, error) {
-	if _, err := pred.TypeOf(tbl); err != nil {
-		return nil, err
-	}
-	bm := columnar.NewBitmap(tbl.Rows())
-	err := parallel.ForErr(tbl.Rows(), predicateGrain, degree, func(lo, hi, _ int) error {
-		for i := lo; i < hi; i++ {
-			v, err := pred.Eval(tbl, i)
-			if err != nil {
-				return err
-			}
-			if truth(v) == tTrue {
-				bm.Set(i)
-			}
-		}
-		return nil
-	})
+	b, err := Bind(tbl, pred)
 	if err != nil {
 		return nil, err
 	}
-	return bm, nil
+	return b.Select(degree), nil
 }
 
 // Columns returns the distinct column names e references, in first-
