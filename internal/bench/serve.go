@@ -125,6 +125,9 @@ func captureTrend(obs *obsd.Store, start, end time.Time) []SeriesSnap {
 	if wall := end.Sub(start); wall > time.Duration(trendMaxPoints-1)*step {
 		step = wall / (trendMaxPoints - 1)
 	}
+	// Lay the grid back from end, so its last point sees the post-run
+	// scrape; a grid laid forward from start can stop short of it.
+	start = end.Add(-end.Sub(start) / step * step)
 	var out []SeriesSnap
 	for _, te := range trendExprs {
 		series, err := obs.QueryRange(te.expr, start, end, step)
@@ -177,8 +180,9 @@ func (h *Harness) RunSustained(mix workload.UserMix, scfg serve.Config) (*Sustai
 	// The embedded scraper samples the server's admission state into
 	// ring history over the run; captureTrend turns that history into
 	// the snapshot's trend series after drain. One synchronous scrape
-	// before and after the run guarantees at least two points even when
-	// the run is shorter than a tick.
+	// before and after the run gives a gauge at least two points even
+	// when the run is shorter than a tick; rates and quantiles also need
+	// the ticks in between.
 	obs := obsd.New(obsd.Options{
 		Step:      trendStep,
 		Retention: 5 * time.Minute,
