@@ -31,11 +31,13 @@ test:
 race:
 	$(GO) test -race $(PARALLEL_PKGS)
 
-# Per-layer micro-benchmarks: columnar gather, bsort partial-key build,
-# and expr's predicate scan (row-at-a-time reference vs bound) and derive.
+# Per-layer micro-benchmarks: columnar gather, bsort partial-key build
+# and host sort range, expr's predicate scan (row-at-a-time reference vs
+# bound) and derive, the engine's hash join and the evaluator chain.
 bench:
-	$(GO) test -bench 'ParallelGather|PartialKeyBuild|EvalPredicate|Derive' -benchmem -run '^$$' \
-		./internal/columnar ./internal/bsort ./internal/expr
+	$(GO) test -bench 'ParallelGather|PartialKeyBuild|HostSortRange|EvalPredicate|Derive|HashJoin|BuildInput' \
+		-benchmem -run '^$$' \
+		./internal/columnar ./internal/bsort ./internal/expr ./internal/engine ./internal/evaluator
 
 # Perf-regression gate: run the benchdiff suite and compare the modeled
 # (deterministic) timings against the committed BENCH_0.json baseline.

@@ -12,7 +12,10 @@
 // concurrently, and conflict-free partitioning keeps the design merge-free.
 package bsort
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // KeySource supplies binary-sortable keys for the rows being sorted: the
 // engine's window into the SDS buckets. Keys are fixed width and compared
@@ -52,6 +55,9 @@ func (s *BytesKeySource) MaxDepth() int { return s.depth }
 // PartialKey implements KeySource.
 func (s *BytesKeySource) PartialKey(row int32, depth int) uint32 {
 	k := s.keys[row]
+	if i := depth * 4; i+4 <= len(k) {
+		return binary.BigEndian.Uint32(k[i:])
+	}
 	var v uint32
 	for i := 0; i < 4; i++ {
 		v <<= 8

@@ -1,7 +1,8 @@
 package bsort
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"blugpu/internal/parallel"
@@ -83,24 +84,28 @@ func partitionTopByte(es []Entry, degree int, scratch []Entry) [257]int {
 // small worker pool. The comparator is a total order, so the
 // concatenated buckets are bit-identical to a sequential sort.
 //
-// The caller must have rekeyed the range at `depth` so the top byte of
-// each entry's partial key is the partition digit.
+// The caller must have rekeyed the range at `depth`: each entry carries
+// its partial key at `depth`, whose top byte is the partition digit. The
+// comparator compares those stored keys and reads deeper segments from
+// the key source only on a tie.
 func hostSortRange(entries []Entry, r Range, depth int, src KeySource, degree int) {
 	maxDepth := src.MaxDepth()
-	less := func(a, b Entry) bool {
-		pa, pb := a.Payload(), b.Payload()
-		for d := depth; d < maxDepth; d++ {
-			ka, kb := src.PartialKey(int32(pa), d), src.PartialKey(int32(pb), d)
-			if ka != kb {
-				return ka < kb
+	compare := func(a, b Entry) int {
+		if a.Key() == b.Key() {
+			pa, pb := int32(a.Payload()), int32(b.Payload())
+			for d := depth + 1; d < maxDepth; d++ {
+				if c := cmp.Compare(src.PartialKey(pa, d), src.PartialKey(pb, d)); c != 0 {
+					return c
+				}
 			}
 		}
-		return pa < pb
+		// An entry is its key above its payload: key order, then row id.
+		return cmp.Compare(a, b)
 	}
 	es := entries[r.Lo:r.Hi]
 	workers := parallel.Degree(degree)
 	if workers <= 1 || len(es) < hostPartitionMin {
-		sort.Slice(es, func(a, b int) bool { return less(es[a], es[b]) })
+		slices.SortFunc(es, compare)
 		return
 	}
 	scratch := make([]Entry, len(es))
@@ -118,8 +123,7 @@ func hostSortRange(entries []Entry, r Range, depth int, src KeySource, degree in
 		go func() {
 			defer wg.Done()
 			for br := range buckets {
-				bs := es[br.Lo:br.Hi]
-				sort.Slice(bs, func(a, b int) bool { return less(bs[a], bs[b]) })
+				slices.SortFunc(es[br.Lo:br.Hi], compare)
 			}
 		}()
 	}

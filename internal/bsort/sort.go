@@ -1,10 +1,11 @@
 package bsort
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"blugpu/internal/gpu"
 	"blugpu/internal/parallel"
@@ -267,7 +268,7 @@ func Sort(src KeySource, cfg Config) ([]int32, Stats, error) {
 }
 
 func sortByPayload(es []Entry) {
-	sort.Slice(es, func(a, b int) bool { return es[a].Payload() < es[b].Payload() })
+	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Payload(), b.Payload()) })
 }
 
 func nlogn(n int) float64 {

@@ -156,7 +156,8 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 		return nil, fmt.Errorf("engine: join column %q must be an integer key", rcol)
 	}
 
-	// Hash join: build on the smaller input, probe the larger.
+	// Hash join: build on the smaller input, probe the larger in
+	// parallel.
 	hostStart := time.Now()
 	buildRight := right.Rows() <= left.tbl.Rows()
 	var buildKeys, probeKeys *columnar.Int64Column
@@ -165,30 +166,7 @@ func (e *Engine) execJoin(n *plan.Join, q qctx) (*frame, error) {
 	} else {
 		buildKeys, probeKeys = lk, rk
 	}
-	ht := make(map[int64][]int32, buildKeys.Len())
-	for i := 0; i < buildKeys.Len(); i++ {
-		if buildKeys.IsNull(i) {
-			continue
-		}
-		k := buildKeys.Int64(i)
-		ht[k] = append(ht[k], int32(i))
-	}
-	var leftRows, rightRows []int32
-	for i := 0; i < probeKeys.Len(); i++ {
-		if probeKeys.IsNull(i) {
-			continue
-		}
-		for _, m := range ht[probeKeys.Int64(i)] {
-			if buildRight {
-				leftRows = append(leftRows, int32(i))
-				rightRows = append(rightRows, m)
-			} else {
-				leftRows = append(leftRows, m)
-				rightRows = append(rightRows, int32(i))
-			}
-		}
-	}
-
+	leftRows, rightRows := hashJoin(buildKeys, probeKeys, buildRight, e.cfg.Degree)
 	q.wallHost(hostStart)
 
 	// Materialize both sides, restricted to the referenced columns

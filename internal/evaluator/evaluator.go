@@ -129,7 +129,7 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	}
 
 	// --- LCOG: load grouping key columns, compute field geometry ---
-	fields, err := planKeyFields(tbl, spec.Keys, deps.Degree)
+	fields, vecs, err := planKeyFields(tbl, spec.Keys, deps.Degree)
 	if err != nil {
 		return nil, err
 	}
@@ -147,19 +147,18 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 	in := &groupby.Input{NumRows: n}
 	var ccatT vtime.Duration
 	// Each worker packs a disjoint row range into preallocated vectors,
-	// so parallel CCAT output is bit-identical to the sequential pack.
+	// one field at a time, so parallel CCAT output is bit-identical to
+	// the sequential pack.
 	if wide {
 		in.KeyBytes = totalBytes
 		in.WideKeys = make([][]byte, n)
 		flat := make([]byte, n*totalBytes)
 		parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
-				r := rows[i]
-				key := flat[i*totalBytes : (i+1)*totalBytes]
-				for _, f := range fields {
-					encodeWideField(tbl, f, int(r), key[f.ByteOffset:f.ByteOffset+f.Bytes])
-				}
-				in.WideKeys[i] = key
+				in.WideKeys[i] = flat[i*totalBytes : (i+1)*totalBytes]
+			}
+			for fi, f := range fields {
+				putWide(flat[lo*totalBytes:hi*totalBytes], totalBytes, rows[lo:hi], f, vecs[fi])
 			}
 		})
 		ccatT = deps.Model.CPUTime(float64(n*len(fields)), deps.Model.CPUExprRate, deps.Degree)
@@ -168,13 +167,8 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 		in.KeyBits = totalBits
 		in.Keys = make([]uint64, n)
 		parallel.For(n, evalGrain, deps.Degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				r := rows[i]
-				var key uint64
-				for _, f := range fields {
-					key |= narrowCode(tbl, f, int(r)) << uint(f.BitOffset)
-				}
-				in.Keys[i] = key
+			for fi, f := range fields {
+				orNarrow(in.Keys[lo:hi], rows[lo:hi], f, vecs[fi])
 			}
 		})
 		if len(fields) > 1 {
@@ -211,12 +205,10 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 		sketches[i] = kmv.MustNew(kmv.DefaultK)
 	}
 	parallel.For(n, evalGrain, deps.Degree, func(lo, hi, worker int) {
-		sk := sketches[worker]
+		hs := in.Hashes[lo:hi]
 		if wide {
-			for i := lo; i < hi; i++ {
-				h := murmur.Sum64(in.WideKeys[i], 0x5bd1e995)
-				in.Hashes[i] = h
-				sk.AddHash(h)
+			for i := range hs {
+				hs[i] = murmur.Sum64(in.WideKeys[lo+i], 0x5bd1e995)
 			}
 		} else {
 			// The HASH evaluator mixes the packed key into a hashed
@@ -224,12 +216,11 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 			// table with a mask. Feeding raw packed codes straight to
 			// linear probing would cluster catastrophically —
 			// dictionary codes are dense and sequential.
-			for i := lo; i < hi; i++ {
-				h := murmur.Sum64Uint64(in.Keys[i], 0x5bd1e995)
-				in.Hashes[i] = h
-				sk.AddHash(h)
+			for i, k := range in.Keys[lo:hi] {
+				hs[i] = murmur.Sum64Uint64(k, 0x5bd1e995)
 			}
 		}
+		sketches[worker].AddHashes(hs)
 	})
 	sketch := kmv.MustNew(kmv.DefaultK)
 	for _, sk := range sketches {
@@ -317,40 +308,78 @@ func selectedRows(tbl *columnar.Table, sel *columnar.Bitmap, degree int) []int32
 	return sel.IndicesDegree(degree)
 }
 
-// planKeyFields computes per-column packing geometry. Int columns are
-// rebased to their min so the code fits the value range; string columns
-// use dictionary codes. A NULL code is reserved when the column has nulls.
-func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]KeyField, error) {
+// colVec is a key or payload column resolved once to its typed vector
+// and null-bitmap words, so the per-row loops index slices directly.
+type colVec struct {
+	ints   []int64
+	floats []float64
+	codes  []int32
+	nulls  []uint64 // nil when the column has no null bitmap
+}
+
+func vecOf(col columnar.Column) colVec {
+	var v colVec
+	var nulls *columnar.Bitmap
+	switch c := col.(type) {
+	case *columnar.Int64Column:
+		v.ints, nulls = c.Data(), c.Nulls()
+	case *columnar.Float64Column:
+		v.floats, nulls = c.Data(), c.Nulls()
+	case *columnar.StringColumn:
+		v.codes, nulls = c.Codes(), c.Nulls()
+	}
+	if nulls != nil {
+		v.nulls = nulls.Words()
+	}
+	return v
+}
+
+// isNull reports whether row r's bit is set in the null-bitmap words
+// (nil: no row is NULL).
+func isNull(nulls []uint64, r int32) bool {
+	return nulls != nil && nulls[r>>6]>>(uint(r)&63)&1 != 0
+}
+
+// anyNull reports whether some row is NULL: a bitmap may exist with no
+// bit set, and that column must not reserve a NULL code.
+func (v colVec) anyNull() bool {
+	for _, w := range v.nulls {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// planKeyFields computes per-column packing geometry and resolves each
+// key column's vectors. Int columns are rebased to their min so the
+// code fits the value range; string columns use dictionary codes. A
+// NULL code is reserved when the column has nulls.
+func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]KeyField, []colVec, error) {
 	fields := make([]KeyField, 0, len(keys))
+	vecs := make([]colVec, 0, len(keys))
 	bitOff, byteOff := 0, 0
 	for _, name := range keys {
 		col := tbl.Column(name)
 		if col == nil {
-			return nil, fmt.Errorf("evaluator: unknown grouping column %q", name)
+			return nil, nil, fmt.Errorf("evaluator: unknown grouping column %q", name)
 		}
-		f := KeyField{Column: name, Type: col.Type(), BitOffset: bitOff, ByteOffset: byteOff}
-		hasNull := false
-		for i := 0; i < col.Len(); i++ {
-			if col.IsNull(i) {
-				hasNull = true
-				break
-			}
-		}
-		f.HasNull = hasNull
+		v := vecOf(col)
+		f := KeyField{Column: name, Type: col.Type(), BitOffset: bitOff, ByteOffset: byteOff, HasNull: v.anyNull()}
 		switch c := col.(type) {
 		case *columnar.StringColumn:
 			f.Dict = c
 			span := uint64(c.DictSize())
-			if hasNull {
+			if f.HasNull {
 				span++
 			}
 			f.Bits = bitsFor(span)
 			f.Bytes = 4
 		case *columnar.Int64Column:
-			minV, maxV := columnMinMax(c, degree)
+			minV, maxV := columnMinMax(v, degree)
 			f.MinI = minV
 			span := uint64(maxV-minV) + 1
-			if hasNull {
+			if f.HasNull {
 				span++
 			}
 			f.Bits = bitsFor(span)
@@ -359,20 +388,22 @@ func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]KeyField, 
 			f.Bits = 64 // floats group by raw bits: always the wide path
 			f.Bytes = 8
 		default:
-			return nil, fmt.Errorf("evaluator: unsupported key column type %v", col.Type())
+			return nil, nil, fmt.Errorf("evaluator: unsupported key column type %v", col.Type())
 		}
 		bitOff += f.Bits
 		byteOff += f.Bytes
 		fields = append(fields, f)
+		vecs = append(vecs, v)
 	}
-	return fields, nil
+	return fields, vecs, nil
 }
 
-// columnMinMax scans for the non-null value range with per-worker
-// partial minima/maxima reduced in worker order (min/max are exact and
-// commutative, so the result is degree-independent).
-func columnMinMax(c *columnar.Int64Column, degree int) (minV, maxV int64) {
-	data := c.Data()
+// columnMinMax scans an int column for its non-null value range, a
+// null-bitmap word at a time, with per-worker partial minima/maxima
+// reduced in worker order (min/max are exact and commutative, so the
+// result is degree-independent). Worker ranges start on word bounds.
+func columnMinMax(v colVec, degree int) (minV, maxV int64) {
+	data := v.ints
 	nw := parallel.Workers(len(data), evalGrain, degree)
 	mins := make([]int64, nw)
 	maxs := make([]int64, nw)
@@ -380,16 +411,27 @@ func columnMinMax(c *columnar.Int64Column, degree int) (minV, maxV int64) {
 	parallel.For(len(data), evalGrain, degree, func(lo, hi, worker int) {
 		mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
 		any := false
-		for i := lo; i < hi; i++ {
-			if c.IsNull(i) {
+		for base := lo; base < hi; base += 64 {
+			end := min(base+64, hi)
+			var nullWord uint64
+			if v.nulls != nil {
+				nullWord = v.nulls[base>>6]
+			}
+			if nullWord == 0 {
+				for _, x := range data[base:end] {
+					mn, mx = min(mn, x), max(mx, x)
+				}
+				any = true
 				continue
 			}
-			any = true
-			if v := data[i]; v < mn {
-				mn = v
+			valid := ^nullWord
+			if end-base < 64 {
+				valid &= 1<<uint(end-base) - 1
 			}
-			if v := data[i]; v > mx {
-				mx = v
+			for ; valid != 0; valid &= valid - 1 {
+				x := data[base+bits.TrailingZeros64(valid)]
+				mn, mx = min(mn, x), max(mx, x)
+				any = true
 			}
 		}
 		mins[worker], maxs[worker], anys[worker] = mn, mx, any
@@ -401,12 +443,7 @@ func columnMinMax(c *columnar.Int64Column, degree int) (minV, maxV int64) {
 			continue
 		}
 		any = true
-		if mins[w] < minV {
-			minV = mins[w]
-		}
-		if maxs[w] > maxV {
-			maxV = maxs[w]
-		}
+		minV, maxV = min(minV, mins[w]), max(maxV, maxs[w])
 	}
 	if !any {
 		return 0, 0
@@ -414,54 +451,62 @@ func columnMinMax(c *columnar.Int64Column, degree int) (minV, maxV int64) {
 	return minV, maxV
 }
 
-// narrowCode returns the packed code of field f at row r.
-func narrowCode(tbl *columnar.Table, f KeyField, r int) uint64 {
-	col := tbl.Column(f.Column)
-	if col.IsNull(r) {
-		return 0
-	}
-	var code uint64
-	switch c := col.(type) {
-	case *columnar.StringColumn:
-		code = uint64(c.Code(r))
-	case *columnar.Int64Column:
-		code = uint64(c.Int64(r) - f.MinI)
-	}
+// orNarrow ORs field f's packed code for each row of rs into the
+// matching entry of keys; a NULL row contributes code 0.
+func orNarrow(keys []uint64, rs []int32, f KeyField, v colVec) {
+	nulls, add, shift := v.nulls, uint64(0), uint(f.BitOffset)
 	if f.HasNull {
-		code++
+		add = 1
 	}
-	return code
+	switch f.Type {
+	case columnar.String:
+		for i, r := range rs {
+			if !isNull(nulls, r) {
+				keys[i] |= (uint64(v.codes[r]) + add) << shift
+			}
+		}
+	case columnar.Int64:
+		for i, r := range rs {
+			if !isNull(nulls, r) {
+				keys[i] |= (uint64(v.ints[r]-f.MinI) + add) << shift
+			}
+		}
+	}
 }
 
-// encodeWideField writes field f's fixed-width encoding at row r into dst.
-func encodeWideField(tbl *columnar.Table, f KeyField, r int, dst []byte) {
-	col := tbl.Column(f.Column)
-	var code uint64
-	if col.IsNull(r) {
-		if f.Type == columnar.Float64 {
-			code = floatNullCode
-		}
-	} else {
-		switch c := col.(type) {
-		case *columnar.StringColumn:
-			code = uint64(c.Code(r))
-			if f.HasNull {
-				code++
-			}
-		case *columnar.Int64Column:
-			code = uint64(c.Int64(r) - f.MinI)
-			if f.HasNull {
-				code++
-			}
-		case *columnar.Float64Column:
-			code = math.Float64bits(c.Float64(r))
-		}
+// putWide writes field f's fixed-width encoding for each row of rs into
+// its width-byte key in flat. NULL is code 0, or floatNullCode for
+// float fields.
+func putWide(flat []byte, width int, rs []int32, f KeyField, v colVec) {
+	nulls, add := v.nulls, uint64(0)
+	if f.HasNull {
+		add = 1
 	}
-	switch f.Bytes {
-	case 4:
-		binary.LittleEndian.PutUint32(dst, uint32(code))
-	default:
-		binary.LittleEndian.PutUint64(dst, code)
+	switch f.Type {
+	case columnar.String:
+		for i, r := range rs {
+			var code uint32
+			if !isNull(nulls, r) {
+				code = uint32(uint64(v.codes[r]) + add)
+			}
+			binary.LittleEndian.PutUint32(flat[i*width+f.ByteOffset:], code)
+		}
+	case columnar.Int64:
+		for i, r := range rs {
+			var code uint64
+			if !isNull(nulls, r) {
+				code = uint64(v.ints[r]-f.MinI) + add
+			}
+			binary.LittleEndian.PutUint64(flat[i*width+f.ByteOffset:], code)
+		}
+	case columnar.Float64:
+		for i, r := range rs {
+			code := floatNullCode
+			if !isNull(nulls, r) {
+				code = math.Float64bits(v.floats[r])
+			}
+			binary.LittleEndian.PutUint64(flat[i*width+f.ByteOffset:], code)
+		}
 	}
 }
 
@@ -476,13 +521,15 @@ func buildPayload(tbl *columnar.Table, rows []int32, a AggColumn, degree int) (g
 	if col == nil {
 		return groupby.AggSpec{}, nil, fmt.Errorf("evaluator: unknown aggregate column %q", a.Column)
 	}
+	v := vecOf(col)
+	nulls := v.nulls
+	payload := make([]uint64, len(rows))
 	if a.Kind == groupby.Count {
 		// COUNT(col): sum 1 for non-null rows.
-		payload := make([]uint64, len(rows))
 		parallel.For(len(rows), evalGrain, degree, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				if !col.IsNull(int(rows[i])) {
-					payload[i] = 1
+			for i, r := range rows[lo:hi] {
+				if !isNull(nulls, r) {
+					payload[lo+i] = 1
 				}
 			}
 		})
@@ -498,19 +545,22 @@ func buildPayload(tbl *columnar.Table, rows []int32, a AggColumn, degree int) (g
 		return groupby.AggSpec{}, nil, fmt.Errorf("evaluator: cannot aggregate %v column %q", col.Type(), a.Column)
 	}
 	identity := spec.InitWord()
-	payload := make([]uint64, len(rows))
 	parallel.For(len(rows), evalGrain, degree, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			r := int(rows[i])
-			if col.IsNull(r) {
-				payload[i] = identity
-				continue
+		out, rs := payload[lo:hi], rows[lo:hi]
+		if spec.Type == columnar.Int64 {
+			for i, r := range rs {
+				out[i] = uint64(v.ints[r])
 			}
-			switch c := col.(type) {
-			case *columnar.Int64Column:
-				payload[i] = uint64(c.Int64(r))
-			case *columnar.Float64Column:
-				payload[i] = math.Float64bits(c.Float64(r))
+		} else {
+			for i, r := range rs {
+				out[i] = math.Float64bits(v.floats[r])
+			}
+		}
+		if nulls != nil {
+			for i, r := range rs {
+				if isNull(nulls, r) {
+					out[i] = identity
+				}
 			}
 		}
 	})
