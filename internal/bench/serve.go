@@ -51,6 +51,13 @@ type SustainedResult struct {
 // enough that scraping stays invisible next to query execution.
 const trendStep = 25 * time.Millisecond
 
+// sustainedMinWall is the shortest sustained run: users cycle through
+// their streams again until it has passed. Rate and per-class quantile
+// series start only at the first scrape after their first sample, so a
+// small mix that a fast engine finishes within a tick or two would
+// leave them a single point; ten ticks leave every series several.
+const sustainedMinWall = 10 * trendStep
+
 // trendMaxPoints bounds the samples kept per series in a snapshot: the
 // range query widens its step until the run fits, so BENCH_<n>.json
 // stays tidy no matter how long the run was.
@@ -163,7 +170,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // RunSustained drives one stream per user of mix through a serve.Server
-// over the harness engine. Every user retries shed submissions (each
+// over the harness engine, cycling through the streams until the run
+// has lasted sustainedMinWall. Every user retries shed submissions (each
 // retry counts as a new submission on the server's ledger) until the
 // query is admitted, so the run measures saturated steady-state
 // behaviour: queueing delay, shed rate, and delivered throughput.
@@ -204,7 +212,8 @@ func (h *Harness) RunSustained(mix workload.UserMix, scfg serve.Config) (*Sustai
 		go func(u int, stream []workload.Query) {
 			defer wg.Done()
 			session := fmt.Sprintf("user-%d", u)
-			for _, q := range stream {
+			for i := 0; i < len(stream) || (i > 0 && time.Since(start) < sustainedMinWall); i++ {
+				q := stream[i%len(stream)]
 				qStart := time.Now()
 				for attempt := 0; ; attempt++ {
 					if attempt > 5000 {

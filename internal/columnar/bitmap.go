@@ -30,9 +30,21 @@ func NewBitmapFull(n int) *Bitmap {
 }
 
 // Words exposes the backing words, 64 rows per word with row i at bit
-// i%64 of word i/64, for word-at-a-time kernels. Bits past Len must
-// stay clear.
-func (b *Bitmap) Words() []uint64 { return b.words }
+// i%64 of word i/64, for word-at-a-time kernels; nil for a nil bitmap,
+// which is how a column without NULLs reports its null bitmap. Bits
+// past Len must stay clear.
+func (b *Bitmap) Words() []uint64 {
+	if b == nil {
+		return nil
+	}
+	return b.words
+}
+
+// NullAt reports whether row i's bit is set in null-bitmap words as
+// Words returns them; nil words mean no row is NULL.
+func NullAt(words []uint64, i int) bool {
+	return words != nil && words[i>>6]>>(uint(i)&63)&1 != 0
+}
 
 // Len returns the number of rows the bitmap covers.
 func (b *Bitmap) Len() int { return b.n }

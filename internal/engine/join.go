@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"math/bits"
 
 	"blugpu/internal/columnar"
@@ -13,25 +12,16 @@ import (
 // even at about 8k probe rows and is about 20% faster at 16k.
 const joinGrain = 8192
 
-// directSpanFactor bounds the direct-address index: keys map straight
-// to slots (slot = key - min key) when the non-NULL build keys span at
-// most this many slots per non-NULL build row. Surrogate keys are dense,
-// so dimension builds usually qualify; sparse keys use open addressing.
-const directSpanFactor = 4
-
 // joinIndex is the build side of the hash join as a flat CSR index: the
 // build rows whose key maps to slot s are rows[start[s]:start[s+1]], in
-// ascending row order.
+// ascending row order. Keys map to slots through an open-addressing
+// table probed linearly from the key's hash position.
 type joinIndex struct {
 	start  []int32
 	rows   []int32
-	nslots uint64
-	// Direct addressing: slot = key - base.
-	direct bool
-	base   int64
-	// Open addressing, probed linearly from the key's hash position.
-	table []hashEntry
-	shift uint
+	nslots uint32
+	table  []hashEntry
+	shift  uint
 }
 
 // hashEntry is one open-addressing position: key and slot+1 (0 = empty).
@@ -51,7 +41,7 @@ func hashJoin(build, probe *columnar.Int64Column, buildRight bool, degree int) (
 	if ix == nil || probe.Len() == 0 {
 		return nil, nil
 	}
-	keys, nulls := probe.Data(), nullWords(probe.Nulls())
+	keys, nulls := probe.Data(), probe.Nulls().Words()
 	n := len(keys)
 	// Pass 1 looks every probe row's slot up once (nslots: no match) and
 	// counts matches per worker; pass 2 reads the slots back to fill.
@@ -72,7 +62,7 @@ func hashJoin(build, probe *columnar.Int64Column, buildRight bool, degree int) (
 	parallel.For(n, joinGrain, degree, func(lo, hi, w int) {
 		o := offsets[w]
 		for i, s := range slots[lo:hi] {
-			if uint64(s) >= ix.nslots {
+			if s >= ix.nslots {
 				continue
 			}
 			for _, r := range ix.rows[ix.start[s]:ix.start[s+1]] {
@@ -94,14 +84,10 @@ func (ix *joinIndex) lookup(keys []int64, nulls []uint64, lo, hi int, slots []ui
 	matches := 0
 	for i := lo; i < hi; i++ {
 		s := ix.nslots
-		switch {
-		case nulls != nil && nulls[i>>6]>>(uint(i)&63)&1 != 0:
-		case ix.direct:
-			s = min(uint64(keys[i])-uint64(ix.base), ix.nslots)
-		default:
-			s = ix.hashSlot(keys[i])
+		if !columnar.NullAt(nulls, i) {
+			s = ix.slotOf(keys[i])
 		}
-		slots[i] = uint32(s)
+		slots[i] = s
 		if s < ix.nslots {
 			matches += int(ix.start[s+1] - ix.start[s])
 		}
@@ -111,74 +97,49 @@ func (ix *joinIndex) lookup(keys []int64, nulls []uint64, lo, hi int, slots []ui
 
 // buildJoinIndex indexes build's non-NULL keys; nil when there are none.
 func buildJoinIndex(build *columnar.Int64Column) *joinIndex {
-	keys, nulls := build.Data(), nullWords(build.Nulls())
-	valid := func(i int) bool { return nulls == nil || nulls[i>>6]>>(uint(i)&63)&1 == 0 }
-	nonNull := 0
-	var lo, hi int64
-	for i, k := range keys {
-		if !valid(i) {
-			continue
-		}
-		if nonNull == 0 || k < lo {
-			lo = k
-		}
-		if nonNull == 0 || k > hi {
-			hi = k
-		}
-		nonNull++
+	keys, nulls := build.Data(), build.Nulls().Words()
+	nonNull := len(keys)
+	for _, w := range nulls {
+		nonNull -= bits.OnesCount64(w)
 	}
 	if nonNull == 0 {
 		return nil
 	}
 
-	// slotOf[i] is build row i's slot, -1 for NULL.
-	ix := &joinIndex{}
-	slotOf := make([]int32, len(keys))
-	// The span is computed in uint64 so extreme keys cannot overflow;
-	// slots must also fit the int32 and uint32 slot vectors.
-	if span := uint64(hi) - uint64(lo); span < uint64(directSpanFactor*nonNull) && span < math.MaxInt32 {
-		ix.direct, ix.base, ix.nslots = true, lo, span+1
-		for i, k := range keys {
-			slotOf[i] = -1
-			if valid(i) {
-				slotOf[i] = int32(uint64(k) - uint64(lo))
-			}
+	size := 1 << bits.Len(uint(2*nonNull-1)) // power of two >= 2*nonNull
+	ix := &joinIndex{table: make([]hashEntry, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	// slots[i] is build row i's slot, -1 for NULL.
+	slots := make([]int32, len(keys))
+	for i, k := range keys {
+		slots[i] = -1
+		if columnar.NullAt(nulls, i) {
+			continue
 		}
-	} else {
-		size := 1 << bits.Len(uint(2*nonNull-1)) // power of two >= 2*nonNull
-		ix.table = make([]hashEntry, size)
-		ix.shift = uint(64 - bits.TrailingZeros(uint(size)))
-		for i, k := range keys {
-			slotOf[i] = -1
-			if !valid(i) {
-				continue
-			}
-			h := ix.hash(k)
-			for ix.table[h].slot != 0 && ix.table[h].key != k {
-				h = (h + 1) & uint64(size-1)
-			}
-			if ix.table[h].slot == 0 {
-				ix.nslots++
-				ix.table[h] = hashEntry{k, uint32(ix.nslots)}
-			}
-			slotOf[i] = int32(ix.table[h].slot - 1)
+		h := ix.hash(k)
+		for ix.table[h].slot != 0 && ix.table[h].key != k {
+			h = (h + 1) & uint64(size-1)
 		}
+		if ix.table[h].slot == 0 {
+			ix.nslots++
+			ix.table[h] = hashEntry{k, ix.nslots}
+		}
+		slots[i] = int32(ix.table[h].slot - 1)
 	}
 
 	// Counting sort of build rows by slot: a stable scatter keeps each
 	// slot's rows ascending.
 	ix.start = make([]int32, ix.nslots+1)
-	for _, s := range slotOf {
+	for _, s := range slots {
 		if s >= 0 {
 			ix.start[s+1]++
 		}
 	}
-	for s := uint64(0); s < ix.nslots; s++ {
+	for s := range ix.nslots {
 		ix.start[s+1] += ix.start[s]
 	}
 	next := append([]int32(nil), ix.start[:ix.nslots]...)
 	ix.rows = make([]int32, nonNull)
-	for i, s := range slotOf {
+	for i, s := range slots {
 		if s >= 0 {
 			ix.rows[next[s]] = int32(i)
 			next[s]++
@@ -192,25 +153,16 @@ func (ix *joinIndex) hash(k int64) uint64 {
 	return uint64(k) * 0x9E3779B97F4A7C15 >> ix.shift
 }
 
-// hashSlot returns k's slot in the open-addressing table, or nslots
-// when no build row has key k.
-func (ix *joinIndex) hashSlot(k int64) uint64 {
+// slotOf returns k's slot, or nslots when no build row has key k.
+func (ix *joinIndex) slotOf(k int64) uint32 {
 	mask := uint64(len(ix.table) - 1)
 	for h := ix.hash(k); ; h = (h + 1) & mask {
 		e := ix.table[h]
 		if e.key == k && e.slot != 0 {
-			return uint64(e.slot - 1)
+			return e.slot - 1
 		}
 		if e.slot == 0 {
 			return ix.nslots
 		}
 	}
-}
-
-// nullWords returns b's words, or nil for a nil bitmap.
-func nullWords(b *columnar.Bitmap) []uint64 {
-	if b == nil {
-		return nil
-	}
-	return b.Words()
 }

@@ -104,30 +104,29 @@ func TestHashJoinMatchesReference(t *testing.T) {
 	probeSizes := []int{0, 1, 63, 64, 65, joinGrain - 1, joinGrain, joinGrain + 1, 2*joinGrain + 65}
 
 	type buildCase struct {
-		name   string
-		keys   []int64
-		nulls  func(int) bool
-		direct bool
+		name  string
+		keys  []int64
+		nulls func(int) bool
 	}
 	permuted := gen(2000, func() int64 { return 0 })
 	for i, p := range rng.Perm(2000) {
 		permuted[i] = int64(p) + 1
 	}
 	builds := []buildCase{
-		{"unique-dense", permuted, nil, true},
-		{"dup-dense", gen(500, dense(-100, 300)), nil, true},
-		{"dup-dense-nulls", gen(500, dense(7, 300)), everyN(5), true},
-		{"sparse", gen(300, sparse), nil, false},
-		{"sparse-dups-nulls", append(gen(200, sparse), gen(100, dense(0, 3))...), everyN(7), false},
-		{"extremes", gen(64, extreme), nil, false},
-		{"near-max", gen(64, dense(math.MaxInt64-100, 101)), everyN(9), true},
-		{"near-min", gen(64, dense(math.MinInt64, 101)), nil, true},
-		{"single", []int64{42}, nil, true},
+		{"unique-dense", permuted, nil},
+		{"dup-dense", gen(500, dense(-100, 300)), nil},
+		{"dup-dense-nulls", gen(500, dense(7, 300)), everyN(5)},
+		{"sparse", gen(300, sparse), nil},
+		{"sparse-dups-nulls", append(gen(200, sparse), gen(100, dense(0, 3))...), everyN(7)},
+		{"extremes", gen(64, extreme), nil},
+		{"near-max", gen(64, dense(math.MaxInt64-100, 101)), everyN(9)},
+		{"near-min", gen(64, dense(math.MinInt64, 101)), nil},
+		{"single", []int64{42}, nil},
 	}
 	for _, bc := range builds {
 		build := keyColumn(bc.keys, bc.nulls)
-		if ix := buildJoinIndex(build); ix == nil || ix.direct != bc.direct {
-			t.Fatalf("%s: index %+v, want direct=%v", bc.name, ix, bc.direct)
+		if buildJoinIndex(build) == nil {
+			t.Fatalf("%s: no index over non-NULL keys", bc.name)
 		}
 		for _, np := range probeSizes {
 			// Probe keys come from the build keys, their neighbours and
@@ -193,10 +192,9 @@ func FuzzHashJoin(f *testing.F) {
 }
 
 // BenchmarkHashJoin measures the join kernel on a 144k-row probe against
-// a 2,000-row build: dense surrogate keys (direct-address index, every
-// probe row matching one build row) and sparse random keys (open
-// addressing, one probe row in four missing). The degree is GOMAXPROCS,
-// so -cpu sets it.
+// a 2,000-row build: dense surrogate keys (every probe row matching one
+// build row) and sparse random keys (one probe row in four missing).
+// The degree is GOMAXPROCS, so -cpu sets it.
 func BenchmarkHashJoin(b *testing.B) {
 	const nBuild, nProbe = 2000, 144000
 	rng := rand.New(rand.NewSource(3))

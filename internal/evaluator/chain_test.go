@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -105,12 +106,15 @@ func refPlanKeyFields(tbl *columnar.Table, keys []string) ([]KeyField, error) {
 				minV, maxV = 0, 0
 			}
 			f.MinI = minV
-			span := uint64(maxV-minV) + 1
+			// The highest code in exact arithmetic: no int64 overflow.
+			maxCode := new(big.Int).Sub(big.NewInt(maxV), big.NewInt(minV))
 			if f.HasNull {
-				span++
+				maxCode.Add(maxCode, big.NewInt(1))
 			}
-			f.Bits = bitsFor(span)
-			f.Bytes = 8
+			f.Bits, f.Bytes = max(1, maxCode.BitLen()), 8
+			if maxCode.Cmp(new(big.Int).SetUint64(math.MaxUint64)) >= 0 {
+				f.Bits, f.Bytes = 65, 9
+			}
 		case *columnar.Float64Column:
 			f.Bits = 64
 			f.Bytes = 8
@@ -142,6 +146,15 @@ func refNarrowCode(tbl *columnar.Table, f KeyField, r int) uint64 {
 
 func refEncodeWideField(tbl *columnar.Table, f KeyField, r int, dst []byte) {
 	col := tbl.Column(f.Column)
+	if f.Bytes == 9 {
+		// A code would reach 2^64-1: a non-NULL flag byte, then the
+		// rebased value.
+		if !col.IsNull(r) {
+			dst[0] = 1
+			binary.LittleEndian.PutUint64(dst[1:], uint64(col.(*columnar.Int64Column).Int64(r))-uint64(f.MinI))
+		}
+		return
+	}
 	var code uint64
 	if col.IsNull(r) {
 		if f.Type == columnar.Float64 {
@@ -204,7 +217,9 @@ func refBuildPayload(tbl *columnar.Table, rows []int32, a AggColumn) (groupby.Ag
 // chainTable has narrow and wide int keys, string and float keys, each
 // with and without NULLs, plus two int columns with no NULL row: one
 // carrying a null bitmap with no bit set, and one gathered from a source
-// whose only NULL lies outside the gathered rows.
+// whose only NULL lies outside the gathered rows. Two more int columns
+// cycle through MinInt64, MaxInt64, 0, 0, one with every fourth row
+// NULL: their codes would reach 2^64-1.
 func chainTable(n int, seed int64) *columnar.Table {
 	rng := rand.New(rand.NewSource(seed))
 	small := make([]int64, n)
@@ -212,6 +227,8 @@ func chainTable(n int, seed int64) *columnar.Table {
 	wideInts := make([]int64, n)
 	floats := make([]float64, n)
 	fnull := make([]float64, n)
+	extremes := make([]int64, n)
+	extremeNulls := columnar.NewBitmap(n)
 	sb, snb := columnar.NewStringBuilder("s"), columnar.NewStringBuilder("s_null")
 	intNulls, floatNulls := columnar.NewBitmap(n), columnar.NewBitmap(n)
 	for r := 0; r < n; r++ {
@@ -235,6 +252,10 @@ func chainTable(n int, seed int64) *columnar.Table {
 		if rng.Intn(4) == 0 {
 			floatNulls.Set(r)
 		}
+		extremes[r] = []int64{math.MinInt64, math.MaxInt64, 0, 0}[r%4]
+		if r%4 == 3 {
+			extremeNulls.Set(r)
+		}
 	}
 	// gathered: a column whose single NULL sits in an extra row that the
 	// gather leaves out.
@@ -249,6 +270,8 @@ func chainTable(n int, seed int64) *columnar.Table {
 		columnar.NewInt64Column("i_wide", wideInts, nil),
 		columnar.NewInt64Column("i_empty_bitmap", nullable, columnar.NewBitmap(n)),
 		gathered,
+		columnar.NewInt64Column("i_extreme", extremes, nil),
+		columnar.NewInt64Column("i_extreme_null", extremes, extremeNulls),
 		columnar.NewFloat64Column("f", floats, nil),
 		columnar.NewFloat64Column("f_null", fnull, floatNulls),
 		sb.Build(), snb.Build(),
@@ -282,6 +305,8 @@ func TestBuildInputMatchesReference(t *testing.T) {
 		{[]string{"f"}, true},
 		{[]string{"f_null", "s_null"}, true},
 		{[]string{"s", "i_null", "f_null", "i_empty_bitmap"}, true},
+		{[]string{"i_extreme"}, true},
+		{[]string{"s_null", "i_extreme_null", "i_small"}, true},
 	}
 	for _, n := range []int{0, 1, 63, 64, 65, 2*evalGrain + 65, 5000} {
 		tbl := chainTable(n, int64(n)+1)
@@ -305,7 +330,7 @@ func TestBuildInputMatchesReference(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					in := res.Input
-					// Fewer than two rows leave i_wide a one-value span.
+					// Fewer than two rows leave i_wide and i_extreme one-value spans.
 					if wide := in.Keys == nil; n >= 2 && wide != ks.wide {
 						t.Fatalf("%s: wide = %v, want %v", label, wide, ks.wide)
 					}

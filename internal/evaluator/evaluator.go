@@ -75,7 +75,9 @@ type KeyField struct {
 	Type   columnar.Type
 	// BitOffset/Bits locate the field in a narrow packed key.
 	BitOffset, Bits int
-	// ByteOffset/Bytes locate the field in a wide concatenated key.
+	// ByteOffset/Bytes locate the field in a wide concatenated key:
+	// 4 bytes for strings, 8 for ints and floats, flaggedIntBytes for an
+	// int field whose codes would reach 2^64-1.
 	ByteOffset, Bytes int
 	// MinI rebases Int64 fields (code = value - MinI) in narrow keys.
 	MinI int64
@@ -220,7 +222,9 @@ func BuildInput(tbl *columnar.Table, sel *columnar.Bitmap, spec Spec, deps Deps)
 				hs[i] = murmur.Sum64Uint64(k, 0x5bd1e995)
 			}
 		}
-		sketches[worker].AddHashes(hs)
+		for _, h := range hs {
+			sketches[worker].AddHash(h)
+		}
 	})
 	sketch := kmv.MustNew(kmv.DefaultK)
 	for _, sk := range sketches {
@@ -265,6 +269,11 @@ func DecodeWideKey(key []byte, f KeyField) columnar.Value {
 	switch f.Bytes {
 	case 4:
 		code = uint64(binary.LittleEndian.Uint32(seg))
+	case flaggedIntBytes:
+		if seg[0] == 0 {
+			return columnar.NullValue(f.Type)
+		}
+		return columnar.IntValue(int64(binary.LittleEndian.Uint64(seg[1:])) + f.MinI)
 	default:
 		code = binary.LittleEndian.Uint64(seg)
 	}
@@ -319,25 +328,15 @@ type colVec struct {
 
 func vecOf(col columnar.Column) colVec {
 	var v colVec
-	var nulls *columnar.Bitmap
 	switch c := col.(type) {
 	case *columnar.Int64Column:
-		v.ints, nulls = c.Data(), c.Nulls()
+		v.ints, v.nulls = c.Data(), c.Nulls().Words()
 	case *columnar.Float64Column:
-		v.floats, nulls = c.Data(), c.Nulls()
+		v.floats, v.nulls = c.Data(), c.Nulls().Words()
 	case *columnar.StringColumn:
-		v.codes, nulls = c.Codes(), c.Nulls()
-	}
-	if nulls != nil {
-		v.nulls = nulls.Words()
+		v.codes, v.nulls = c.Codes(), c.Nulls().Words()
 	}
 	return v
-}
-
-// isNull reports whether row r's bit is set in the null-bitmap words
-// (nil: no row is NULL).
-func isNull(nulls []uint64, r int32) bool {
-	return nulls != nil && nulls[r>>6]>>(uint(r)&63)&1 != 0
 }
 
 // anyNull reports whether some row is NULL: a bitmap may exist with no
@@ -378,12 +377,7 @@ func planKeyFields(tbl *columnar.Table, keys []string, degree int) ([]KeyField, 
 		case *columnar.Int64Column:
 			minV, maxV := columnMinMax(v, degree)
 			f.MinI = minV
-			span := uint64(maxV-minV) + 1
-			if f.HasNull {
-				span++
-			}
-			f.Bits = bitsFor(span)
-			f.Bytes = 8
+			f.Bits, f.Bytes = intFieldWidth(uint64(maxV)-uint64(minV), f.HasNull)
 		case *columnar.Float64Column:
 			f.Bits = 64 // floats group by raw bits: always the wide path
 			f.Bytes = 8
@@ -461,13 +455,13 @@ func orNarrow(keys []uint64, rs []int32, f KeyField, v colVec) {
 	switch f.Type {
 	case columnar.String:
 		for i, r := range rs {
-			if !isNull(nulls, r) {
+			if !columnar.NullAt(nulls, int(r)) {
 				keys[i] |= (uint64(v.codes[r]) + add) << shift
 			}
 		}
 	case columnar.Int64:
 		for i, r := range rs {
-			if !isNull(nulls, r) {
+			if !columnar.NullAt(nulls, int(r)) {
 				keys[i] |= (uint64(v.ints[r]-f.MinI) + add) << shift
 			}
 		}
@@ -486,15 +480,28 @@ func putWide(flat []byte, width int, rs []int32, f KeyField, v colVec) {
 	case columnar.String:
 		for i, r := range rs {
 			var code uint32
-			if !isNull(nulls, r) {
+			if !columnar.NullAt(nulls, int(r)) {
 				code = uint32(uint64(v.codes[r]) + add)
 			}
 			binary.LittleEndian.PutUint32(flat[i*width+f.ByteOffset:], code)
 		}
 	case columnar.Int64:
+		if f.Bytes == flaggedIntBytes {
+			for i, r := range rs {
+				var flag byte
+				var code uint64
+				if !columnar.NullAt(nulls, int(r)) {
+					flag, code = 1, uint64(v.ints[r]-f.MinI)
+				}
+				seg := flat[i*width+f.ByteOffset:]
+				seg[0] = flag
+				binary.LittleEndian.PutUint64(seg[1:], code)
+			}
+			return
+		}
 		for i, r := range rs {
 			var code uint64
-			if !isNull(nulls, r) {
+			if !columnar.NullAt(nulls, int(r)) {
 				code = uint64(v.ints[r]-f.MinI) + add
 			}
 			binary.LittleEndian.PutUint64(flat[i*width+f.ByteOffset:], code)
@@ -502,7 +509,7 @@ func putWide(flat []byte, width int, rs []int32, f KeyField, v colVec) {
 	case columnar.Float64:
 		for i, r := range rs {
 			code := floatNullCode
-			if !isNull(nulls, r) {
+			if !columnar.NullAt(nulls, int(r)) {
 				code = math.Float64bits(v.floats[r])
 			}
 			binary.LittleEndian.PutUint64(flat[i*width+f.ByteOffset:], code)
@@ -528,7 +535,7 @@ func buildPayload(tbl *columnar.Table, rows []int32, a AggColumn, degree int) (g
 		// COUNT(col): sum 1 for non-null rows.
 		parallel.For(len(rows), evalGrain, degree, func(lo, hi, _ int) {
 			for i, r := range rows[lo:hi] {
-				if !isNull(nulls, r) {
+				if !columnar.NullAt(nulls, int(r)) {
 					payload[lo+i] = 1
 				}
 			}
@@ -558,7 +565,7 @@ func buildPayload(tbl *columnar.Table, rows []int32, a AggColumn, degree int) (g
 		}
 		if nulls != nil {
 			for i, r := range rs {
-				if isNull(nulls, r) {
+				if columnar.NullAt(nulls, int(r)) {
 					out[i] = identity
 				}
 			}
@@ -631,3 +638,24 @@ func bitsFor(span uint64) int {
 	}
 	return bits.Len64(span - 1)
 }
+
+// intFieldWidth sizes an Int64 key field whose values rebase to codes
+// 0..maxCode (value - MinI, exact in uint64), all one higher when code
+// 0 is reserved for NULL. A code of 2^64-1 — the full int64 range, with
+// or without NULL — would wrap NULL's code 0 or, as a wide key's first
+// word, equal groupby.EmptyKey; such a field is flaggedIntBytes wide.
+func intFieldWidth(maxCode uint64, hasNull bool) (nbits, nbytes int) {
+	add := uint64(0)
+	if hasNull {
+		add = 1
+	}
+	if maxCode >= math.MaxUint64-add {
+		return 65, flaggedIntBytes
+	}
+	return max(1, bits.Len64(maxCode+add)), 8
+}
+
+// flaggedIntBytes is the width of a wide Int64 field whose codes would
+// reach 2^64-1: byte 0 is 1 for a value and 0 for NULL, bytes 1..8 the
+// rebased value (0 for NULL).
+const flaggedIntBytes = 9

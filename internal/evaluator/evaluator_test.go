@@ -1,6 +1,9 @@
 package evaluator
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"blugpu/internal/columnar"
@@ -180,6 +183,75 @@ func TestNullGroupingKey(t *testing.T) {
 	}
 	if !gotNull || !got5 {
 		t.Error("expected NULL group and value-5 group")
+	}
+}
+
+// TestLone64BitKey groups by one column whose codes need all 64 bits:
+// an int column holding both int64 extremes (65 bits with a NULL code)
+// and a float column. On the CPU and the GPU, every distinct value,
+// NULL included, must come back as its own group.
+func TestLone64BitKey(t *testing.T) {
+	ints := []int64{math.MinInt64, math.MaxInt64, 0, 0, math.MaxInt64 - 1, -1}
+	floats := []float64{-2.5, 0, 0, math.Inf(1), 1e300, 7}
+	for _, c := range []struct {
+		typ      columnar.Type
+		withNull bool
+	}{{columnar.Int64, false}, {columnar.Int64, true}, {columnar.Float64, false}} {
+		var k columnar.Column
+		v := columnar.NewInt64Builder("v")
+		want := map[columnar.Value]int64{}
+		for i := range ints {
+			v.Append(int64(i))
+		}
+		if c.typ == columnar.Int64 {
+			b := columnar.NewInt64Builder("k")
+			for i, x := range ints {
+				b.Append(x)
+				want[columnar.IntValue(x)] += int64(i)
+			}
+			if c.withNull {
+				b.AppendNull()
+				v.Append(100)
+				want[columnar.NullValue(columnar.Int64)] = 100
+			}
+			k = b.Build()
+		} else {
+			k = columnar.NewFloat64Column("k", floats, nil)
+			for i, x := range floats {
+				want[columnar.FloatValue(x)] += int64(i)
+			}
+		}
+		label := fmt.Sprintf("%v withNull=%v", c.typ, c.withNull)
+		tbl := columnar.MustNewTable("t", k, v.Build())
+		res, err := BuildInput(tbl, nil, Spec{Keys: []string{"k"}, Aggs: []AggColumn{{Kind: groupby.Sum, Column: "v"}}}, deps())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Input.Wide() {
+			t.Fatalf("%s: a 64-bit key must take the wide path", label)
+		}
+		cpuOut, err := groupby.RunCPU(res.Input, 2, vtime.Default())
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		reservation, err := newDevice().Reserve(groupby.MemoryDemand(res.Input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpuOut, err := groupby.RunGPU(res.Input, reservation, vtime.Default(), groupby.GPUOptions{})
+		reservation.Release()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, out := range []*groupby.Result{cpuOut, gpuOut} {
+			got := map[columnar.Value]int64{}
+			for g := 0; g < out.Groups; g++ {
+				got[DecodeWideKey(out.WideKeys[g], res.Fields[0])] = int64(out.AggWords[0][g])
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: groups %v, want %v", label, got, want)
+			}
+		}
 	}
 }
 

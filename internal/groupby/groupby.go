@@ -71,12 +71,13 @@ const EmptyKey = ^uint64(0)
 type Input struct {
 	// NumRows is the exact input row count (known by kernel launch time).
 	NumRows int
-	// Keys holds the packed grouping key per row when the key fits 64
-	// bits (KeyBytes <= 8); each value must be != EmptyKey.
+	// Keys holds the packed grouping key per row when the key fits 63
+	// bits (KeyBytes 8); each value must be != EmptyKey.
 	Keys []uint64
 	// WideKeys holds fixed-width concatenated keys when the grouping key
-	// exceeds 64 bits; all entries share KeyBytes length. The device then
-	// uses Murmur hashing and per-slot locks instead of atomicCAS.
+	// needs more than 63 bits; all entries share KeyBytes length. The
+	// device then uses Murmur hashing and per-slot locks instead of
+	// atomicCAS.
 	WideKeys [][]byte
 	// KeyBytes is the fixed key width in bytes.
 	KeyBytes int
@@ -98,8 +99,11 @@ type Input struct {
 	EstGroups uint64
 }
 
-// Wide reports whether the task uses the wide-key (lock-based) path.
-func (in *Input) Wide() bool { return in.KeyBytes > 8 }
+// Wide reports whether the task uses the wide-key (lock-based) path:
+// its keys are wider than 8 bytes, or they are 8-byte keys needing all
+// 64 bits (a lone float field or an int field spanning the full int64
+// range), which leave no code free for EmptyKey and so come as WideKeys.
+func (in *Input) Wide() bool { return in.WideKeys != nil || in.KeyBytes > 8 }
 
 // Validate checks internal consistency.
 func (in *Input) Validate() error {

@@ -81,28 +81,6 @@ func (s *Sketch) AddHash(h uint64) {
 	s.siftDown(0)
 }
 
-// AddHashes offers already-hashed values in order and leaves the sketch
-// exactly as the same AddHash calls would. A value repeated within the
-// batch changes only the count — it is in the heap, or at least the
-// heap's maximum, which never grows — so a small direct-mapped filter of
-// the batch's recent values skips the repeat's map lookup. A batch over
-// few distinct keys thus costs one lookup per key, not per value.
-func (s *Sketch) AddHashes(hs []uint64) {
-	var recent [512]uint64
-	for i := range recent {
-		recent[i] = ^uint64(i) // never a hit: slot i only sees values ≡ i mod 512
-	}
-	for _, h := range hs {
-		slot := &recent[h%uint64(len(recent))]
-		if *slot == h {
-			s.n++
-			continue
-		}
-		*slot = h
-		s.AddHash(h)
-	}
-}
-
 // Add hashes and offers a byte-slice key.
 func (s *Sketch) Add(key []byte) { s.AddHash(murmur.Sum64(key, 0x9747b28c)) }
 

@@ -2,8 +2,6 @@ package kmv
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -136,47 +134,5 @@ func TestHeapInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestAddHashesMatchesAddHash: a batch leaves the sketch exactly as the
-// same AddHash calls do — heap layout, kept set and count — for streams
-// of few and many distinct values, values that share a filter slot, and
-// the filter's initial slot contents.
-func TestAddHashesMatchesAddHash(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	streams := map[string][]uint64{"empty": nil}
-	few := make([]uint64, 5000)
-	for i := range few {
-		few[i] = rng.Uint64() % 7 * 0x9E3779B97F4A7C15
-	}
-	streams["few"] = few
-	many := make([]uint64, 20000)
-	for i := range many {
-		many[i] = rng.Uint64() >> uint(rng.Intn(8))
-		if i%3 == 0 && i > 0 {
-			many[i] = many[rng.Intn(i)]
-		}
-	}
-	streams["many"] = many
-	var clash []uint64
-	for i := 0; i < 3000; i++ {
-		// Same filter slot, alternating values, plus the values the
-		// empty filter holds and the extremes.
-		clash = append(clash, uint64(i%4)*512+5, ^uint64(i%512), 0, ^uint64(0))
-	}
-	streams["clash"] = clash
-	for name, hs := range streams {
-		for _, k := range []int{2, 16, 1024} {
-			want, got := MustNew(k), MustNew(k)
-			for _, h := range hs {
-				want.AddHash(h)
-			}
-			got.AddHashes(hs[:len(hs)/3])
-			got.AddHashes(hs[len(hs)/3:])
-			if !reflect.DeepEqual(got.heap, want.heap) || !reflect.DeepEqual(got.seen, want.seen) || got.n != want.n {
-				t.Fatalf("%s k=%d: batch sketch differs from per-value sketch", name, k)
-			}
-		}
 	}
 }
